@@ -163,109 +163,47 @@ std::optional<Slot> DhbScheduler::choose_capped_slot(Slot lo, Slot hi,
   return best;
 }
 
-DhbRequestResult DhbScheduler::on_request() {
+DhbRequestResult DhbScheduler::on_request() { return on_request_batch(1); }
+
+const DhbRequestResult& DhbScheduler::on_request_batch(uint64_t count) {
   VOD_DCHECK_SERIAL(serial_);  // covers the memo fast path, which skips admit()
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    if (memo_valid_) {
-      // Follower: the leader (or an earlier follower) already forced every
-      // segment into the window, so this request shares all of them — the
-      // plan is the leader's, no heuristic runs, no rng is consumed, and
-      // the counters advance exactly as a sequential re-admission's would.
-      c_requests_->inc();
-      c_shared_->inc(static_cast<uint64_t>(config_.num_segments));
-      c_probes_->inc(sum_periods_);
-      c_work_->inc(kWorkMemoCopy);
-      c_coalesced_->inc();
-      c_adm_all_shared_->inc();
-      record_admission_qoe(1, memo_result_, config_.num_segments);
-      VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                        {"count", 1},
-                        {"shared", config_.num_segments});
-      return memo_result_;
+  VOD_CHECK_MSG(count >= 1, "on_request_batch needs at least one request");
+  if (!config_.coalesce_same_slot || config_.client_stream_cap != 0) {
+    for (uint64_t i = 0; i < count; ++i) {
+      admit(1, config_.num_segments, &result_scratch_);
     }
-    admit(1, config_.num_segments, &result_scratch_);
-    // Cache the *follower* view: same plan, everything shared.
+    return result_scratch_;
+  }
+  uint64_t followers = count;
+  if (!memo_valid_) {
+    // Leader: one real admission whose QoE record covers the whole batch —
+    // every same-slot request shares the leader's plan, wait, and
+    // deadlines, so one record per batch is exact and keeps the hot path
+    // at a single QoE touch. Cache the *follower* view: same plan,
+    // everything shared.
+    admit(1, config_.num_segments, &result_scratch_, count);
     memo_result_ = result_scratch_;
     memo_result_.new_instances = 0;
     memo_result_.shared_instances = config_.num_segments;
     memo_valid_ = true;
-    return result_scratch_;
+    if (--followers == 0) return result_scratch_;
+  } else {
+    record_admission_qoe(count, memo_result_, config_.num_segments);
   }
-  admit(1, config_.num_segments, &result_scratch_);
-  return result_scratch_;
-}
-
-DhbRequestResult DhbScheduler::on_request_batch(uint64_t count) {
-  VOD_DCHECK_SERIAL(serial_);
-  VOD_CHECK_MSG(count >= 1, "on_request_batch needs at least one request");
-  if (count == 1) return on_request();
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    uint64_t followers = count;
-    if (!memo_valid_) {
-      // Leader: one real admission whose QoE record covers the whole
-      // batch — every same-slot request shares the leader's plan, wait,
-      // and deadlines, so one record per batch is exact and keeps the
-      // hot path at a single QoE touch.
-      admit(1, config_.num_segments, &result_scratch_, count);
-      memo_result_ = result_scratch_;
-      memo_result_.new_instances = 0;
-      memo_result_.shared_instances = config_.num_segments;
-      memo_valid_ = true;
-      followers = count - 1;
-    } else {
-      record_admission_qoe(count, memo_result_, config_.num_segments);
-    }
-    // All followers are identical; advance the counters in bulk.
-    c_requests_->inc(followers);
-    c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
-    c_probes_->inc(followers * sum_periods_);
-    c_work_->inc(followers * kWorkMemoCopy);
-    c_coalesced_->inc(followers);
-    c_adm_all_shared_->inc(followers);
-    VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                      {"count", static_cast<int64_t>(followers)},
-                      {"shared", config_.num_segments});
-    return memo_result_;
-  }
-  DhbRequestResult result = on_request();
-  for (uint64_t i = 1; i < count; ++i) result = on_request();
-  return result;
-}
-
-void DhbScheduler::on_request_batch_discard(uint64_t count) {
-  VOD_DCHECK_SERIAL(serial_);
-  VOD_CHECK_MSG(count >= 1, "on_request_batch needs at least one request");
-  if (config_.coalesce_same_slot && config_.client_stream_cap == 0) {
-    uint64_t followers = count;
-    if (!memo_valid_) {
-      // Leader: one real admission, memoized as the follower view —
-      // exactly on_request()'s leader path, minus the returned copy. Its
-      // QoE record covers the whole batch (shared plan => shared wait).
-      admit(1, config_.num_segments, &result_scratch_, count);
-      memo_result_ = result_scratch_;
-      memo_result_.new_instances = 0;
-      memo_result_.shared_instances = config_.num_segments;
-      memo_valid_ = true;
-      followers = count - 1;
-    } else {
-      record_admission_qoe(count, memo_result_, config_.num_segments);
-    }
-    if (followers > 0) {
-      c_requests_->inc(followers);
-      c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
-      c_probes_->inc(followers * sum_periods_);
-      c_work_->inc(followers * kWorkMemoCopy);
-      c_coalesced_->inc(followers);
-      c_adm_all_shared_->inc(followers);
-      VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
-                        {"count", static_cast<int64_t>(followers)},
-                        {"shared", config_.num_segments});
-    }
-    return;
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    admit(1, config_.num_segments, &result_scratch_);
-  }
+  // Followers: the leader already forced every segment into the window, so
+  // each shares all of them — the plan is the leader's, no heuristic runs,
+  // no rng is consumed, and the counters advance in bulk exactly as
+  // sequential re-admissions' would.
+  c_requests_->inc(followers);
+  c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
+  c_probes_->inc(followers * sum_periods_);
+  c_work_->inc(followers * kWorkMemoCopy);
+  c_coalesced_->inc(followers);
+  c_adm_all_shared_->inc(followers);
+  VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
+                    {"count", static_cast<int64_t>(followers)},
+                    {"shared", config_.num_segments});
+  return memo_result_;
 }
 
 DhbRequestResult DhbScheduler::on_resume(Segment first_segment) {

@@ -97,24 +97,20 @@ class DhbScheduler {
  public:
   explicit DhbScheduler(const DhbConfig& config);
 
-  // Admits a request arriving during the current slot.
+  // Admits a request arriving during the current slot; a copy of
+  // on_request_batch(1).
   DhbRequestResult on_request();
 
   // Admits `count` requests arriving during the current slot; equivalent to
   // calling on_request() `count` times (bit-identical schedule, plans, and
-  // counters) and returns the last request's result. With coalescing
-  // enabled the count-1 followers cost O(1) *total* counter arithmetic —
-  // the batch entry point run_multi_video_simulation uses for same-slot
-  // Poisson arrivals. Requires count >= 1.
-  DhbRequestResult on_request_batch(uint64_t count);
-
-  // Exactly on_request_batch(count) minus the returned plan: the same
-  // schedule mutations, memo handling, and counter arithmetic,
-  // bit-identically, but nothing is materialized for the caller. The
-  // multi-video engine's hot entry point — with a warm scheduler this
-  // admits a batch with zero heap allocations (the steady-state
-  // allocation audit holds the engine loop to that).
-  void on_request_batch_discard(uint64_t count);
+  // counters) and returns the last request's result, valid until the next
+  // mutating call on this scheduler. With coalescing enabled the count-1
+  // followers cost O(1) *total* counter arithmetic, and a warm scheduler
+  // admits the batch with zero heap allocations — the entry point
+  // run_multi_video_simulation uses for same-slot Poisson arrivals (the
+  // steady-state allocation audit holds the engine loop to that). Requires
+  // count >= 1.
+  const DhbRequestResult& on_request_batch(uint64_t count) VOD_LIFETIMEBOUND;
 
   // Admits a VCR resume/seek: a client that wants to watch segments
   // first..n starting next slot (it watches S_j during slot
@@ -286,8 +282,8 @@ class DhbScheduler {
   DhbRequestResult memo_result_;
 
   // Reusable admission result; admit() writes here and the public entry
-  // points copy out when their signature returns by value (the discard
-  // batch path never does).
+  // points copy out when their signature returns by value
+  // (on_request_batch returns a reference instead).
   DhbRequestResult result_scratch_;
 
   // Per-scheduler scratch region (DESIGN.md §14): transient per-admission

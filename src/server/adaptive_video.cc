@@ -254,9 +254,10 @@ void AdaptiveVideo::on_slot_arrivals(uint64_t count) {
       // The scheduler records this batch's QoE itself, in its local clock;
       // the offset translates those sample slots to the video's clock.
       if (qoe != nullptr) qoe->set_slot_offset(offset);
-      DhbRequestResult result = scheduler_->on_request_batch(count);
+      const DhbRequestResult& result = scheduler_->on_request_batch(count);
       if (qoe != nullptr) qoe->set_slot_offset(0);
       if (probe_ != nullptr) {
+        // The one plan copy, taken only for the probe (it shifts slots).
         ClientPlan plan = result.plan;
         plan.arrival_slot += offset;
         for (Slot& s : plan.reception_slot) s += offset;

@@ -193,8 +193,8 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       // Drain this slot's Poisson arrivals first, then admit them as one
       // batch: every same-slot request gets the identical plan (the
       // scheduler's coalescing memo), so the k-1 followers cost O(1) each.
-      // The engine never reads the plan, so the discarding entry point
-      // skips the per-batch plan copy entirely (counters identical).
+      // The engine never reads the plan; on_request_batch returns it by
+      // reference, so ignoring it costs no per-batch copy.
       // The arrival draws and the admissions use independent rng streams,
       // so reordering draw-vs-admit changes nothing.
       const double slot_end = static_cast<double>(step) * d;
@@ -214,7 +214,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
             qoe->set_slot_offset(static_cast<int64_t>(step) -
                                  scheduler->current_slot());
           }
-          scheduler->on_request_batch_discard(batch);
+          scheduler->on_request_batch(batch);
           if (qoe != nullptr) qoe->set_slot_offset(0);
         } else if (qoe != nullptr && !adaptive) {
           // Always-on NPB: stream 1 carries segment 1 every slot

@@ -1,6 +1,7 @@
 #include "server/vod_server.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 
 #include "schedule/client_plan.h"
@@ -24,55 +25,50 @@ std::vector<ServerTransmission> VodServer::advance_slot() {
   channels_in_use_ = static_cast<int>(segments.size());
   peak_channels_ = std::max(peak_channels_, channels_in_use_);
   total_transmissions_ += segments.size();
-
-  // Watching sessions consume one segment per slot, starting the slot
-  // after their (re-)admission.
-  const Slot now = scheduler_.current_slot();
-  for (auto& [id, info] : sessions_) {
-    if (info.state != SessionState::kWatching) continue;
-    if (info.admitted_slot >= now) continue;  // admitted this very slot
-    ++info.next_segment;
-    if (info.next_segment > scheduler_.num_segments()) {
-      info.state = SessionState::kFinished;
-    }
-  }
   return out;
 }
 
 VodServer::ClientId VodServer::start() {
   VOD_DCHECK_SERIAL(serial_);
-  const ClientId id = next_id_++;
   SessionInfo info;
   info.admitted_slot = scheduler_.current_slot();
-  const DhbRequestResult r = scheduler_.on_request();
+  const DhbRequestResult& r = scheduler_.on_request_batch(1);
   info.playout_ok = verify_plan(r.plan, scheduler_.periods()).deadlines_met;
-  sessions_.emplace(id, info);
-  return id;
+  sessions_.push_back(info);
+  return sessions_.size();
 }
 
-VodServer::SessionInfo& VodServer::live_session(ClientId id) {
-  VOD_DCHECK_SERIAL(serial_);  // chokepoint for the pause/resume/stop mutators
-  auto it = sessions_.find(id);
-  VOD_CHECK_MSG(it != sessions_.end(), "unknown session id");
-  return it->second;
+VodServer::SessionInfo VodServer::session(ClientId id) const {
+  VOD_CHECK_MSG(id >= 1 && id <= sessions_.size(), "unknown session id");
+  SessionInfo info = sessions_[id - 1];
+  if (info.state != SessionState::kWatching) return info;
+  // One segment per slot, starting the slot after the (re-)admission.
+  const Slot watched = current_slot() - info.admitted_slot;
+  if (watched > num_segments() - info.next_segment) {
+    info.next_segment = num_segments() + 1;
+    info.state = SessionState::kFinished;
+  } else {
+    info.next_segment += static_cast<Segment>(watched);
+  }
+  return info;
 }
 
 void VodServer::pause(ClientId id) {
-  SessionInfo& info = live_session(id);
+  VOD_DCHECK_SERIAL(serial_);
+  SessionInfo info = session(id);
   VOD_CHECK_MSG(info.state == SessionState::kWatching,
                 "only a watching session can pause");
   info.state = SessionState::kPaused;
+  sessions_[id - 1] = info;
 }
 
 void VodServer::resume(ClientId id) {
-  SessionInfo& info = live_session(id);
+  VOD_DCHECK_SERIAL(serial_);
+  SessionInfo info = session(id);
   VOD_CHECK_MSG(info.state == SessionState::kPaused,
                 "only a paused session can resume");
-  // Nothing left to watch: the pause happened after the last segment.
-  if (info.next_segment > scheduler_.num_segments()) {
-    info.state = SessionState::kFinished;
-    return;
-  }
+  // A paused session always has a segment left: a watching one turns
+  // kFinished the slot its position passes n, and then cannot pause.
   const DhbRequestResult r = scheduler_.on_resume(info.next_segment);
   info.playout_ok =
       info.playout_ok &&
@@ -81,27 +77,29 @@ void VodServer::resume(ClientId id) {
   info.admitted_slot = scheduler_.current_slot();
   info.state = SessionState::kWatching;
   ++info.resumes;
+  sessions_[id - 1] = info;
 }
 
 void VodServer::stop(ClientId id) {
-  live_session(id).state = SessionState::kStopped;
-}
-
-const VodServer::SessionInfo& VodServer::session(ClientId id) const {
-  auto it = sessions_.find(id);
-  VOD_CHECK_MSG(it != sessions_.end(), "unknown session id");
-  return it->second;
+  VOD_DCHECK_SERIAL(serial_);
+  SessionInfo info = session(id);
+  info.state = SessionState::kStopped;
+  sessions_[id - 1] = info;
 }
 
 int VodServer::active_sessions() const {
   int n = 0;
-  for (const auto& [id, info] : sessions_) {
-    if (info.state == SessionState::kWatching ||
-        info.state == SessionState::kPaused) {
-      ++n;
-    }
+  for (ClientId id = 1; id <= sessions_.size(); ++id) {
+    const SessionState state = session(id).state;
+    n += state == SessionState::kWatching || state == SessionState::kPaused;
   }
   return n;
+}
+
+std::vector<VodServer::ClientId> VodServer::session_ids() const {
+  std::vector<ClientId> ids(sessions_.size());
+  std::iota(ids.begin(), ids.end(), ClientId{1});
+  return ids;
 }
 
 }  // namespace vod

@@ -16,17 +16,21 @@
 // Every (re-)admission is verified against the playout contract at the
 // moment it happens; `SessionInfo::playout_ok` accumulates the result.
 //
-// Determinism note: sessions live in a std::map, not an unordered_map —
-// advance_slot() and active_sessions() iterate the table, and iteration
-// over a hash map is ordered by hash-table internals, which the
-// determinism linter (scripts/lint_determinism.py) bans in result-
-// affecting code. Session ids are dense sequential integers, so the
-// ordered map costs nothing observable at session counts this server
-// sees, and every walk is id-ordered by construction.
+// Playback progress is derived from the slot clock, never stored per tick:
+// DHB never cancels a transmission, so a watching client consumes exactly
+// one segment per slot from the slot after its (re-)admission, and its
+// position at slot `now` is next_segment + (now - admitted_slot), finished
+// once that passes n. A stored watching record keeps the position of its
+// admission; paused and stopped records keep the position they froze at.
+// advance_slot() therefore touches no session, and a tick costs the same
+// however many sessions the server has ever served.
+//
+// Determinism note: sessions live in a vector indexed by id - 1 (ids are
+// dense and sequential, never reused), so every walk is id-ordered by
+// construction.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/dhb.h"
@@ -57,35 +61,28 @@ class VodServer {
   explicit VodServer(const DhbConfig& config);
 
   // Advances one slot: returns the channel/segment pairs transmitted
-  // during the new current slot and moves every watching session forward
-  // by one segment.
+  // during the new current slot. Watching sessions move forward by one
+  // segment implicitly (see the header comment).
   std::vector<ServerTransmission> advance_slot();
 
   // Admits a new client during the current slot.
   ClientId start();
 
-  // VCR operations; ids must name live sessions.
+  // VCR operations; ids must name sessions this server started.
   void pause(ClientId id);
   void resume(ClientId id);
   void stop(ClientId id);
 
-  const SessionInfo& session(ClientId id) const;
+  // The session as of current_slot(); finished and stopped sessions stay
+  // readable.
+  SessionInfo session(ClientId id) const;
   Slot current_slot() const { return scheduler_.current_slot(); }
   int num_segments() const { return scheduler_.num_segments(); }
 
   // Sessions currently watching or paused.
   int active_sessions() const;
-  // Every session id (any state) in table-iteration order — the order
-  // advance_slot() and active_sessions() walk. The ordered map pins it
-  // ascending-by-id no matter how VCR operations interleave;
-  // tests/vod_server_order_test.cc asserts exactly that, so swapping the
-  // container for an unordered one cannot silently reorder the walks.
-  std::vector<ClientId> session_ids() const {
-    std::vector<ClientId> ids;
-    ids.reserve(sessions_.size());
-    for (const auto& [id, info] : sessions_) ids.push_back(id);
-    return ids;
-  }
+  // Every session id (any state) in walk order: ascending, 1..N.
+  std::vector<ClientId> session_ids() const;
   // Channels busy during the current slot / the most ever needed at once.
   int channels_in_use() const { return channels_in_use_; }
   int peak_channels() const { return peak_channels_; }
@@ -94,15 +91,12 @@ class VodServer {
   const DhbScheduler& scheduler() const { return scheduler_; }
 
  private:
-  SessionInfo& live_session(ClientId id);
-
   // One thread owns a server (sessions + the underlying scheduler); the
   // VCR entry points assert it in Debug builds (DESIGN.md §11).
   ThreadChecker serial_;
 
   DhbScheduler scheduler_;
-  std::map<ClientId, SessionInfo> sessions_;
-  ClientId next_id_ = 1;
+  std::vector<SessionInfo> sessions_;  // session id - 1
   int channels_in_use_ = 0;
   int peak_channels_ = 0;
   uint64_t total_transmissions_ = 0;

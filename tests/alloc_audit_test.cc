@@ -14,8 +14,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "core/dhb.h"
+#include "protocols/npb.h"
+#include "server/adaptive_video.h"
 
 namespace {
 
@@ -39,12 +42,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace vod {
 namespace {
 
-// Drives the engine's hot path: plan-discarding batch admissions (what
-// the sharded multi-video engine calls per slot) plus the span-returning
-// clock advance. `slot` seeds a deterministic small batch size.
+// Drives the engine's hot path: batch admissions whose plan is left unread
+// (what the sharded multi-video engine calls per slot) plus the
+// span-returning clock advance. `phase` seeds a deterministic small batch
+// size.
 void run_slots(DhbScheduler* dhb, int slots, int phase) {
   for (int s = 0; s < slots; ++s) {
-    dhb->on_request_batch_discard(1 + static_cast<uint64_t>((s + phase) % 3));
+    dhb->on_request_batch(1 + static_cast<uint64_t>((s + phase) % 3));
     dhb->advance_slot_view();
   }
 }
@@ -86,6 +90,39 @@ TEST(AllocAudit, CappedSteadySlotsAreAllocationFree) {
   run_slots(&dhb, 150, 1);
   EXPECT_EQ(g_heap_allocations.load() - heap_before, 0u)
       << "capped steady-state slots reached the system allocator";
+}
+
+TEST(AllocAudit, ProbelessAdaptiveDhbSlotsAreAllocationFree) {
+  // The engine's kAdaptive policy runs AdaptiveVideo with no probe. In
+  // steady kDhb mode a batch admission must read the scheduler's plan in
+  // place: only a probe needs its own copy.
+  const int n = 99;
+  const std::optional<NpbMapping> mapping =
+      NpbMapping::build(NpbMapping::streams_for(n), n);
+  ASSERT_TRUE(mapping.has_value());
+  AdaptiveVideoConfig config;
+  config.num_segments = n;
+  AdaptiveVideo video(config, &*mapping);
+  // 0.25 arrivals/slot, in pairs: inside the default ladder's DHB band, and
+  // every batch has a coalesced follower.
+  const auto run = [&video](int slots) {
+    for (int s = 0; s < slots; ++s) {
+      video.advance_slot();
+      video.on_slot_arrivals(s % 8 == 7 ? 2 : 0);
+    }
+  };
+
+  run(1000);
+  ASSERT_EQ(video.mode(), ServingMode::kDhb);
+  const uint64_t switches = video.switches();
+  const uint64_t heap_before = g_heap_allocations.load();
+
+  run(2000);
+
+  EXPECT_EQ(g_heap_allocations.load() - heap_before, 0u)
+      << "steady DHB-mode adaptive slots reached the system allocator";
+  EXPECT_EQ(video.mode(), ServingMode::kDhb);
+  EXPECT_EQ(video.switches(), switches) << "the video left the DHB rung";
 }
 
 TEST(AllocAudit, WarmupItselfIsBounded) {

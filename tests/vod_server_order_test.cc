@@ -1,12 +1,12 @@
 // Session-table iteration order under adversarial VCR interleavings.
 //
 // VodServer's determinism contract (vod_server.h header comment) hangs on
-// the session walk being id-ordered: advance_slot() and active_sessions()
+// the session walk being id-ordered: active_sessions() and session_ids()
 // iterate sessions_, and if that order ever followed insertion pattern or
 // hash internals, per-session results would vary run to run. These tests
 // drive the table through hostile insertion/removal interleavings and pin
 // the walk to ascending ids — the guard that keeps a future container
-// swap (std::map -> unordered_map) from compiling silently.
+// swap (say, to a hash map) from changing the order silently.
 #include "server/vod_server.h"
 
 #include <gtest/gtest.h>

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "schedule/client_plan.h"
 #include "sim/random.h"
 
 namespace vod {
@@ -150,12 +153,11 @@ TEST(VodServer, RandomizedVcrWorkloadStaysCorrect) {
 }
 
 // Regression for the determinism contract (DESIGN.md §8/§11): the session
-// table is a std::map precisely so that advance_slot()'s walk is
-// id-ordered — an unordered_map here once made the walk order an artifact
-// of hash-table internals. The golden FNV-1a checksum over a seeded VCR
-// workload pins the full externally visible behavior bit-for-bit; any
-// order-dependent walk sneaking back in shows up as a checksum change on
-// some platform or standard-library version.
+// table must walk in id order — an unordered_map here once made the walk
+// order an artifact of hash-table internals. The golden FNV-1a checksum
+// over a seeded VCR workload pins the full externally visible behavior
+// bit-for-bit; any order-dependent walk sneaking back in shows up as a
+// checksum change on some platform or standard-library version.
 TEST(VodServer, DeterministicWorkloadChecksum) {
   constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
   constexpr uint64_t kFnvPrime = 1099511628211ULL;
@@ -210,6 +212,259 @@ TEST(VodServer, DeterministicWorkloadChecksum) {
   const uint64_t checksum = run_workload();
   EXPECT_EQ(checksum, run_workload());          // repeatable in-process
   EXPECT_EQ(checksum, 0x4660ca4b92f5f328ULL);   // and bit-identical everywhere
+}
+
+// Reference model of the session table as a per-tick walk: every advance
+// moves each watching session admitted before the new slot on by one
+// segment. VodServer derives the same positions from the clock instead;
+// the differential tests below hold the two to identical observable state.
+class WalkingTable {
+ public:
+  using Info = VodServer::SessionInfo;
+  using State = VodServer::SessionState;
+
+  explicit WalkingTable(const DhbConfig& config) : scheduler_(config) {}
+
+  std::vector<Segment> advance_slot() {
+    std::vector<Segment> sent = scheduler_.advance_slot();
+    const Slot now = scheduler_.current_slot();
+    for (Info& info : sessions_) {
+      if (info.state != State::kWatching || info.admitted_slot >= now) continue;
+      if (++info.next_segment > scheduler_.num_segments()) {
+        info.state = State::kFinished;
+      }
+    }
+    return sent;
+  }
+
+  VodServer::ClientId start() {
+    Info info;
+    info.admitted_slot = scheduler_.current_slot();
+    const DhbRequestResult r = scheduler_.on_request();
+    info.playout_ok = verify_plan(r.plan, scheduler_.periods()).deadlines_met;
+    sessions_.push_back(info);
+    return sessions_.size();
+  }
+
+  void pause(VodServer::ClientId id) { at(id).state = State::kPaused; }
+
+  void resume(VodServer::ClientId id) {
+    Info& info = at(id);
+    if (info.next_segment > scheduler_.num_segments()) {
+      info.state = State::kFinished;  // nothing left to watch
+      return;
+    }
+    const DhbRequestResult r = scheduler_.on_resume(info.next_segment);
+    info.playout_ok =
+        info.playout_ok &&
+        verify_plan(r.plan, scheduler_.resume_periods(info.next_segment))
+            .deadlines_met;
+    info.admitted_slot = scheduler_.current_slot();
+    info.state = State::kWatching;
+    ++info.resumes;
+  }
+
+  void stop(VodServer::ClientId id) { at(id).state = State::kStopped; }
+
+  int active_sessions() const {
+    int n = 0;
+    for (const Info& info : sessions_) {
+      n += info.state == State::kWatching || info.state == State::kPaused;
+    }
+    return n;
+  }
+
+  Info& at(VodServer::ClientId id) { return sessions_.at(id - 1); }
+  size_t size() const { return sessions_.size(); }
+
+ private:
+  DhbScheduler scheduler_;
+  std::vector<Info> sessions_;
+};
+
+// A VodServer and a WalkingTable driven in lockstep.
+struct Lockstep {
+  explicit Lockstep(int n) : server(small_config(n)), ref(small_config(n)) {}
+
+  void advance() {
+    const std::vector<ServerTransmission> tx = server.advance_slot();
+    const std::vector<Segment> sent = ref.advance_slot();
+    ASSERT_EQ(tx.size(), sent.size());
+    for (size_t k = 0; k < tx.size(); ++k) EXPECT_EQ(tx[k].segment, sent[k]);
+  }
+  VodServer::ClientId start() {
+    const VodServer::ClientId id = server.start();
+    EXPECT_EQ(id, ref.start());
+    return id;
+  }
+  void pause(VodServer::ClientId id) {
+    server.pause(id);
+    ref.pause(id);
+  }
+  void resume(VodServer::ClientId id) {
+    server.resume(id);
+    ref.resume(id);
+  }
+  void stop(VodServer::ClientId id) {
+    server.stop(id);
+    ref.stop(id);
+  }
+
+  // Every session's observable state, and the active count, agree.
+  void expect_same() {
+    ASSERT_EQ(server.session_ids().size(), ref.size());
+    for (VodServer::ClientId id = 1; id <= ref.size(); ++id) {
+      const VodServer::SessionInfo got = server.session(id);
+      const VodServer::SessionInfo& want = ref.at(id);
+      EXPECT_EQ(got.state, want.state) << "id " << id;
+      EXPECT_EQ(got.next_segment, want.next_segment) << "id " << id;
+      EXPECT_EQ(got.admitted_slot, want.admitted_slot) << "id " << id;
+      EXPECT_EQ(got.resumes, want.resumes) << "id " << id;
+      EXPECT_EQ(got.playout_ok, want.playout_ok) << "id " << id;
+    }
+    EXPECT_EQ(server.active_sessions(), ref.active_sessions());
+  }
+
+  VodServer server;
+  WalkingTable ref;
+};
+
+TEST(VodServerDerived, MatchesPerTickWalkUnderRandomVcr) {
+  using State = VodServer::SessionState;
+  for (const int n : {1, 2, 6, 15}) {
+    for (const uint64_t seed : {1u, 7u, 31u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
+      Lockstep l(n);
+      Rng rng(seed);
+      for (int step = 0; step < 300; ++step) {
+        l.advance();
+        for (uint64_t a = rng.poisson(0.8); a > 0; --a) l.start();
+        for (uint64_t ops = rng.poisson(1.5); ops > 0 && l.ref.size() > 0;
+             --ops) {
+          // Half the picks hit the newest session, so VCR operations in a
+          // session's admission slot come up often.
+          const VodServer::ClientId id =
+              rng.uniform() < 0.5 ? l.ref.size()
+                                  : 1 + rng.uniform_index(l.ref.size());
+          const double roll = rng.uniform();
+          switch (l.ref.at(id).state) {
+            case State::kWatching:
+              if (roll < 0.75) {
+                l.pause(id);
+              } else {
+                l.stop(id);
+              }
+              break;
+            case State::kPaused:
+              if (roll < 0.8) {
+                l.resume(id);
+              } else {
+                l.stop(id);
+              }
+              break;
+            case State::kFinished:
+              if (roll < 0.3) l.stop(id);
+              break;
+            case State::kStopped:
+              break;
+          }
+        }
+        l.expect_same();
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(VodServerDerived, PauseInTheAdmissionSlot) {
+  Lockstep l(4);
+  l.advance();
+  const auto id = l.start();
+  l.pause(id);  // before any segment played
+  l.expect_same();
+  EXPECT_EQ(l.server.session(id).next_segment, 1);
+  for (int k = 0; k < 3; ++k) l.advance();
+  l.expect_same();
+  EXPECT_EQ(l.server.session(id).next_segment, 1);
+  l.resume(id);
+  for (int k = 0; k < 4; ++k) {
+    l.advance();
+    l.expect_same();
+  }
+  EXPECT_EQ(l.server.session(id).state, VodServer::SessionState::kFinished);
+}
+
+TEST(VodServerDerived, PauseAroundTheLastSegment) {
+  // A session admitted at slot a plays S_n during slot a + n, and is
+  // finished from that slot on. One slot earlier, S_n is still ahead: a
+  // pause there freezes one unwatched segment, and the resume watches it.
+  const int n = 5;
+  Lockstep l(n);
+  l.advance();
+  const auto id = l.start();
+  for (int k = 0; k < n - 1; ++k) l.advance();
+  EXPECT_EQ(l.server.session(id).next_segment, n);
+  l.pause(id);
+  l.advance();
+  l.expect_same();
+  EXPECT_EQ(l.server.session(id).state, VodServer::SessionState::kPaused);
+  l.resume(id);
+  l.advance();
+  l.expect_same();
+  EXPECT_EQ(l.server.session(id).state, VodServer::SessionState::kFinished);
+  EXPECT_EQ(l.server.session(id).next_segment, n + 1);
+  EXPECT_TRUE(l.server.session(id).playout_ok);
+}
+
+TEST(VodServerDerived, StopAfterFinishingAndWhilePaused) {
+  const int n = 3;
+  Lockstep l(n);
+  l.advance();
+  const auto done = l.start();
+  const auto held = l.start();
+  l.advance();
+  l.pause(held);  // after watching S_1
+  l.stop(held);
+  for (int k = 0; k < n; ++k) l.advance();
+  l.expect_same();
+  EXPECT_EQ(l.server.session(done).state, VodServer::SessionState::kFinished);
+  l.stop(done);
+  for (int k = 0; k < 2; ++k) l.advance();
+  l.expect_same();
+  EXPECT_EQ(l.server.session(done).state, VodServer::SessionState::kStopped);
+  EXPECT_EQ(l.server.session(done).next_segment, n + 1);
+  EXPECT_EQ(l.server.session(held).state, VodServer::SessionState::kStopped);
+  EXPECT_EQ(l.server.session(held).next_segment, 2);
+  EXPECT_EQ(l.server.active_sessions(), 0);
+}
+
+TEST(VodServerDerivedDeath, NothingLeftToWatchIsFinishedNotPaused) {
+  // The walk's "resume with nothing left to watch" branch is unreachable:
+  // the slot S_n plays, the session is already finished, so it can neither
+  // pause nor resume.
+  const int n = 3;
+  VodServer server(small_config(n));
+  server.advance_slot();
+  const auto id = server.start();
+  for (int k = 0; k < n; ++k) server.advance_slot();
+  EXPECT_EQ(server.session(id).state, VodServer::SessionState::kFinished);
+  EXPECT_DEATH(server.pause(id), "watching");
+  EXPECT_DEATH(server.resume(id), "paused");
+}
+
+TEST(VodServerDerivedDeath, IdsOutsideTheTable) {
+  VodServer server(small_config(4));
+  server.advance_slot();
+  EXPECT_DEATH(server.session(1), "unknown session");
+  server.start();
+  server.start();
+  for (const VodServer::ClientId bad : {VodServer::ClientId{0},
+                                        VodServer::ClientId{3}}) {
+    EXPECT_DEATH(server.session(bad), "unknown session");
+    EXPECT_DEATH(server.pause(bad), "unknown session");
+    EXPECT_DEATH(server.resume(bad), "unknown session");
+    EXPECT_DEATH(server.stop(bad), "unknown session");
+  }
 }
 
 TEST(VodServerDeath, InvalidOperations) {

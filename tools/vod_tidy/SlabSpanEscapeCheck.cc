@@ -32,7 +32,7 @@ constexpr char kDefaultSlabClasses[] =
 constexpr char kDefaultInvalidatingMethods[] =
     "grow;grow_contents;grow_segments;advance;advance_slot;"
     "advance_slot_view;add_instance;on_request;on_request_batch;"
-    "on_request_batch_discard;on_resume;on_range;on_request_bounded;"
+    "on_resume;on_range;on_request_bounded;"
     "rewind;reset;set_heuristic;assign";
 
 // The std::span specialization behind T (through sugar), or null.
