@@ -15,6 +15,10 @@ LoadIndex::LoadIndex(size_t ring_size) : ring_size_(ring_size) {
   for (size_t p = ring_size_; p < leaves_; ++p) {
     tree_[leaves_ + p] = kInfiniteLoad;
   }
+  rebuild_nodes();
+}
+
+void LoadIndex::rebuild_nodes() {
   for (size_t node = leaves_ - 1; node >= 1; --node) {
     tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
   }
@@ -28,6 +32,11 @@ void LoadIndex::add(size_t pos, int delta) {
   for (node >>= 1; node >= 1; node >>= 1) {
     tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
   }
+}
+
+void LoadIndex::assign(const int* values) {
+  std::copy_n(values, ring_size_, &tree_[leaves_]);
+  rebuild_nodes();
 }
 
 int LoadIndex::value(size_t pos) const {

@@ -37,6 +37,10 @@ class LoadIndex {
   // Adds `delta` to the value at ring position `pos` (pos < ring_size).
   void add(size_t pos, int delta);
 
+  // Replaces every value with values[0 .. ring_size) and rebuilds the tree
+  // bottom-up in O(ring_size). Not metered as point updates.
+  void assign(const int* values);
+
   // Current value at ring position `pos`.
   int value(size_t pos) const;
 
@@ -61,6 +65,9 @@ class LoadIndex {
   uint64_t total_updates() const { return updates_; }
 
  private:
+  // Recomputes every internal node from the leaves, bottom-up.
+  void rebuild_nodes();
+
   size_t ring_size_;
   size_t leaves_;          // smallest power of two >= ring_size_
   std::vector<int> tree_;  // 1-based heap layout; leaf p at leaves_ + p

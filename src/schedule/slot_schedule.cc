@@ -148,7 +148,7 @@ void SlotSchedule::add_instance(Segment j, Slot s) {
   ++loads_[pos];
   ++total_;
   ++instances_added_;
-  index_.add(pos, 1);
+  if (index_live_) index_.add(pos, 1);
 
   if (static_cast<size_t>(contents_len_[pos]) == contents_cap_) {
     grow_contents();
@@ -174,7 +174,7 @@ std::span<const Segment> SlotSchedule::advance() {
   const int len = contents_len_[pos];
   contents_len_[pos] = 0;
   total_ -= loads_[pos];
-  if (loads_[pos] != 0) index_.add(pos, -loads_[pos]);
+  if (index_live_ && loads_[pos] != 0) index_.add(pos, -loads_[pos]);
   loads_[pos] = 0;
   for (int i = 0; i < len; ++i) {
     const size_t sj = static_cast<size_t>(row[i]);
@@ -190,8 +190,18 @@ std::span<const Segment> SlotSchedule::advance() {
   return {row, static_cast<size_t>(len)};
 }
 
+void SlotSchedule::ensure_index() const {
+  if (index_live_) return;
+  // A dormant index has no overlay (add_load_overlay builds first), so the
+  // raw counters are the whole truth.
+  VOD_DCHECK(overlay_.empty());
+  index_.assign(loads_);
+  index_live_ = true;
+}
+
 SlotSchedule::MinLoad SlotSchedule::min_load_latest(Slot lo, Slot hi) const {
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
+  ensure_index();
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
   if (a <= b) {
@@ -212,6 +222,7 @@ SlotSchedule::MinLoad SlotSchedule::min_load_latest(Slot lo, Slot hi) const {
 
 SlotSchedule::MinLoad SlotSchedule::min_load_earliest(Slot lo, Slot hi) const {
   VOD_DCHECK(lo > now_ && lo <= hi && hi <= now_ + window_);
+  ensure_index();
   const size_t a = ring_index(lo);
   const size_t b = ring_index(hi);
   if (a <= b) {
@@ -231,24 +242,31 @@ void SlotSchedule::scan_desc(size_t p_hi, size_t p_lo, int* best_load,
                              size_t* best_pos) const {
   // Positions p_hi down to p_lo, strict '<': an earlier (lower) slot only
   // displaces the incumbent with a strictly smaller load — the Figure 6
-  // latest-tie rule, continued across ranges.
+  // latest-tie rule, continued across ranges. Zero floor: raw loads are
+  // never negative, so an incumbent at 0 can no longer be displaced and
+  // the scan (and any range after it) stops there.
+  if (*best_load == 0) return;
   for (size_t p = p_hi + 1; p-- > p_lo;) {
     const int m = loads_[p];
     if (m < *best_load) {
       *best_load = m;
       *best_pos = p;
+      if (m == 0) return;
     }
   }
 }
 
 void SlotSchedule::scan_asc(size_t p_lo, size_t p_hi, int* best_load,
                             size_t* best_pos) const {
-  // Positions p_lo up to p_hi, strict '<': the earliest-tie rule.
+  // Positions p_lo up to p_hi, strict '<': the earliest-tie rule, with the
+  // same zero-floor exit.
+  if (*best_load == 0) return;
   for (size_t p = p_lo; p <= p_hi; ++p) {
     const int m = loads_[p];
     if (m < *best_load) {
       *best_load = m;
       *best_pos = p;
+      if (m == 0) return;
     }
   }
 }
@@ -299,6 +317,7 @@ SlotSchedule::MinLoad SlotSchedule::scan_min_load_earliest(Slot lo,
 
 void SlotSchedule::add_load_overlay(Slot s, int delta) {
   VOD_DCHECK(s > now_ && s <= now_ + window_);
+  ensure_index();
   const size_t pos = ring_index(s);
   index_.add(pos, delta);
   overlay_.emplace_back(pos, delta);

@@ -29,24 +29,28 @@
 // valid until the next mutating call.
 //
 // Placement fast path. Beyond the per-slot counters, the schedule keeps
-// two derived structures maintained incrementally by add_instance() /
-// advance():
+// two derived structures:
 //   * a range-min placement index (schedule/load_index.h) over the load
 //     ring, answering min_load_latest() / min_load_earliest() — the
-//     Figure 6 "min load, ties to the latest slot" rule — in O(log W);
-//   * an O(1) latest-instance cache per segment (latest_instance()), the
-//     common-case answer to the sharing probe without touching the
-//     per-segment slot rows.
+//     Figure 6 "min load, ties to the latest slot" rule — in O(log W).
+//     It is built lazily: dormant until the first indexed use
+//     (min_load_*() or add_load_overlay()), which fills it from the load
+//     ring in O(ring); from then on add_instance() / advance() keep it
+//     exact. A schedule placed only through the scans never pays for it;
+//   * an O(1) latest-instance cache per segment (latest_instance()),
+//     maintained by add_instance() / advance() — the common-case answer
+//     to the sharing probe without touching the per-segment slot rows.
 // Both are exact: they reproduce the naive window scans bit for bit (the
 // differential fuzzer is the oracle). The naive scans themselves are
 // served by scan_min_load_latest() / scan_min_load_earliest(): the same
 // Figure 6 linear scans, but batched over the contiguous load ring — a
 // window decomposes into at most two raw ranges, probed without a
-// per-slot modulo. Callers running transactional or masked placements
-// (bounded admission, the client-stream-cap variant) can superimpose
-// transient per-slot deltas on the index only via add_load_overlay(); the
-// overlay never touches the real loads and must be cleared before the
-// clock advances.
+// per-slot modulo, and a scan stops at the first empty slot it adopts
+// (no load is below zero). Callers running transactional or masked
+// placements (bounded admission, the client-stream-cap variant) can
+// superimpose transient per-slot deltas on the index only via
+// add_load_overlay(); the overlay never touches the real loads and must
+// be cleared before the clock advances.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +138,8 @@ class SlotSchedule {
   // The literal Figure 6 scans over the RAW load counters (no overlay, no
   // index), answered by probing the contiguous load ring directly: the
   // window maps to at most two raw ranges, so the scan runs without a
-  // per-slot modulo or bounds re-check. Decision-identical to
+  // per-slot modulo or bounds re-check, and returns as soon as the
+  // incumbent's load is 0 (nothing can undercut it). Decision-identical to
   // min_load_latest / min_load_earliest without an overlay — the naive
   // reference path the differential fuzzer cross-checks, and the
   // placement path of videos below the index cutover
@@ -197,6 +202,10 @@ class SlotSchedule {
   void grow_contents();
   void grow_segments();
 
+  // Fills the placement index from the raw load counters on its first
+  // indexed use; a no-op once it is live.
+  void ensure_index() const;
+
   // Raw-ring scan over positions [p_hi .. p_lo] descending / ascending,
   // continuing from (best_load, best_pos). Helpers for the batched probes.
   void scan_desc(size_t p_hi, size_t p_lo, int* best_load,
@@ -223,7 +232,10 @@ class SlotSchedule {
   size_t seg_cap_;            // per-segment row stride
   Slot* latest_ = nullptr;    // [num_segments_+1] latest slot, 0 none
 
-  LoadIndex index_;  // range-min over loads_ + overlay
+  // Range-min over loads_ + overlay. Dormant (stale, never updated) until
+  // the first indexed use; const queries may build it, hence mutable.
+  mutable LoadIndex index_;
+  mutable bool index_live_ = false;
   std::vector<std::pair<size_t, int>> overlay_;  // applied (pos, delta) pairs
   uint64_t instances_added_ = 0;                 // lifetime op meters
   uint64_t advances_ = 0;

@@ -63,6 +63,65 @@ struct ShardResult {
   std::vector<uint64_t> video_switches;   // adaptive mode switches
 };
 
+// Per-video provisioned-bandwidth accounting (provision_window_slots):
+// the measured slots are cut into windows of `size` slots and each
+// complete window's peak stream count is summed. size == 0 turns it off.
+struct WindowPeaks {
+  uint64_t size = 0;
+  int peak = 0;       // peak inside the current window
+  uint64_t fill = 0;  // measured slots accumulated into it
+  double sum = 0.0;
+  uint64_t windows = 0;
+
+  void add(int streams) {
+    if (size == 0) return;
+    peak = std::max(peak, streams);
+    if (++fill == size) close();
+  }
+
+  // `k` consecutive measured slots with no streams: they finish the open
+  // window, then whole all-zero windows (each adds an exact 0 to the sum),
+  // then start the next one.
+  void add_idle(uint64_t k) {
+    if (size == 0 || k == 0) return;
+    if (k < size - fill) {
+      fill += k;
+      return;
+    }
+    k -= size - fill;
+    close();
+    windows += k / size;
+    fill = k % size;
+  }
+
+  void close() {
+    sum += peak;
+    ++windows;
+    peak = 0;
+    fill = 0;
+  }
+};
+
+// First step s in [step, last] whose arrival drain is non-empty — the
+// kernel's own predicate next_arrival < s * d — or last + 1 when there is
+// none. floor(next_arrival / d) lands within a step of the answer; the
+// predicate corrects it, and s * d is monotone in s, so the result is
+// exact. The guess is clamped before the cast: a zero-rate video's next
+// arrival is +inf.
+uint64_t first_arrival_step(double next_arrival, double d, uint64_t step,
+                            uint64_t last) {
+  const double guess = std::floor(next_arrival / d);
+  uint64_t s = step;
+  if (!(guess < static_cast<double>(last))) {
+    s = last + 1;
+  } else if (guess > static_cast<double>(step)) {
+    s = static_cast<uint64_t>(guess);
+  }
+  while (s > step && next_arrival < static_cast<double>(s - 1) * d) --s;
+  while (s <= last && !(next_arrival < static_cast<double>(s) * d)) ++s;
+  return s;
+}
+
 // Simulates ranks [first_rank, last_rank) against the shared plan. Each
 // video is an independent thinned Poisson stream (rate λ·p_v) drawn from
 // its own substream rng.fork(rank + 1), so shards never contend on RNG
@@ -95,7 +154,6 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
   out->video_provisioned.assign(static_cast<size_t>(last_rank - first_rank),
                                 0.0);
   out->video_switches.assign(static_cast<size_t>(last_rank - first_rank), 0);
-  const uint64_t prov_window = config.provision_window_slots;
 
   const Rng base(config.seed);
   for (int v = first_rank; v < last_rank; ++v) {
@@ -152,10 +210,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     }
     double next_arrival = arrivals->next();
     uint64_t idle_slots = 0;
-    int window_max = 0;          // provisioned: peak inside current window
-    uint64_t window_fill = 0;    // measured slots accumulated into it
-    double provisioned_sum = 0.0;
-    uint64_t provisioned_windows = 0;
+    WindowPeaks provisioned{config.provision_window_slots};
 
     for (uint64_t step = 1; step <= plan.total_slots; ++step) {
       int streams;
@@ -164,10 +219,23 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       } else if (!scheduler) {
         streams = fixed_streams;  // always on, demand or not
       } else if (scheduler->schedule().total_scheduled() == 0) {
-        // Idle early-out: advancing an empty schedule transmits nothing
-        // and leaves the (relative) schedule state empty, so skip the
-        // ring rotation — and the VOD_AUDIT deep audit — entirely. Deep
-        // in a Zipf tail this is the common case.
+        // Idle stretch: an empty schedule transmits nothing until the next
+        // request arrives (§2), and advancing it leaves the (relative)
+        // schedule state empty. So jump straight to the first step whose
+        // drain admits a request, without rotating the ring (or running
+        // the VOD_AUDIT deep audit). The skipped steps stream 0: they only
+        // count as idle and, when measured, fill provisioning windows.
+        // Deep in a Zipf tail this is the common case.
+        const uint64_t wake =
+            first_arrival_step(next_arrival, d, step, plan.total_slots);
+        const uint64_t first_measured =
+            std::max(step, plan.warmup_slots + 1);
+        if (wake > first_measured) {
+          provisioned.add_idle(wake - first_measured);
+        }
+        idle_slots += wake - step;
+        if (wake > plan.total_slots) break;
+        step = wake;
         streams = 0;
         ++idle_slots;
       } else {
@@ -179,15 +247,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
         out->slot_streams[slot] += streams;
         out->slot_kbs[slot] += streams * rate;
         out->video_stream_sum[local] += streams;
-        if (prov_window > 0) {
-          window_max = std::max(window_max, streams);
-          if (++window_fill == prov_window) {
-            provisioned_sum += window_max;
-            ++provisioned_windows;
-            window_max = 0;
-            window_fill = 0;
-          }
-        }
+        provisioned.add(streams);
       }
 
       // Drain this slot's Poisson arrivals first, then admit them as one
@@ -210,7 +270,8 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
         if (scheduler) {
           if (qoe != nullptr) {
             // The scheduler's clock lags the global step by the idle slots
-            // the early-out skipped; translate its local plan slots back.
+            // it never advanced through; translate its local plan slots
+            // back.
             qoe->set_slot_offset(static_cast<int64_t>(step) -
                                  scheduler->current_slot());
           }
@@ -233,9 +294,9 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
     // A trailing partial window is dropped: a shorter window has a lower
     // expected max, so averaging it in would bias the provisioned figure
     // down. Zero complete windows reports 0.0, never a 0/0 NaN.
-    if (provisioned_windows > 0) {
+    if (provisioned.windows > 0) {
       out->video_provisioned[local] =
-          provisioned_sum / static_cast<double>(provisioned_windows);
+          provisioned.sum / static_cast<double>(provisioned.windows);
     }
     if (adaptive) out->video_switches[local] = adaptive->switches();
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
+#include "obs/trace.h"
 #include "protocols/npb.h"
 
 namespace vod {
@@ -214,6 +217,92 @@ TEST(MultiVideo, AggregatePeakBelowSumOfPeaks) {
   MultiVideoConfig c = quick(VideoPolicy::kDhb, 1000.0);
   const MultiVideoResult r = run_multi_video_simulation(c);
   EXPECT_LT(r.max_streams, 10.0 * 8.0);
+}
+
+// A small, sparse kDhb catalog for the idle-stretch goldens: 1 h of
+// warm-up (50 slots) then 991 measured slots, cut into provisioning
+// windows of 7 (141 complete windows and a trailing partial one of 4).
+// At 3 requests/hour over 6 videos of 20 segments, most of every video's
+// timeline is idle, in gaps of many windows, and some of them straddle the
+// end of warm-up.
+MultiVideoConfig sparse_catalog() {
+  MultiVideoConfig c;
+  c.catalog_size = 6;
+  c.num_segments = 20;
+  c.total_requests_per_hour = 3.0;
+  c.warmup_hours = 1.0;
+  c.measured_hours = 20.0;
+  c.provision_window_slots = 7;
+  c.seed = 7;
+  return c;
+}
+
+struct Golden {
+  double avg_streams;
+  double max_streams;
+  std::vector<double> per_video_avg;
+  std::vector<uint64_t> per_video_requests;
+  std::vector<double> per_video_provisioned;
+  uint64_t idle_slots;
+};
+
+void expect_golden(MultiVideoConfig c, const Golden& want) {
+  obs::EngineObserver observer;
+  c.observer = &observer;
+  const MultiVideoResult r = run_multi_video_simulation(c);
+  ASSERT_EQ(r.measured_slots, 991u);
+  // Exact comparisons: the figures are pinned bit for bit.
+  EXPECT_EQ(r.avg_streams, want.avg_streams);
+  EXPECT_EQ(r.max_streams, want.max_streams);
+  EXPECT_EQ(r.per_video_avg, want.per_video_avg);
+  EXPECT_EQ(r.per_video_requests, want.per_video_requests);
+  EXPECT_EQ(r.per_video_provisioned, want.per_video_provisioned);
+  EXPECT_EQ(observer.merged_metrics().counter_value("engine_idle_slots_total"),
+            want.idle_slots);
+}
+
+// Goldens recorded from the engine that stepped every idle slot one at a
+// time; jumping over idle stretches must reproduce them exactly.
+TEST(MultiVideoIdleJump, SparseFlatCatalogMatchesSteppedGolden) {
+  expect_golden(
+      sparse_catalog(),
+      Golden{1.0706357214934419,
+             4.0,
+             {0.35418768920282545, 0.22502522704339051, 0.17961654894046417,
+              0.12108980827447023, 0.1099899091826438, 0.080726538849646826},
+             {19, 12, 11, 6, 6, 4},
+             {0.47517730496453903, 0.29078014184397161, 0.24113475177304963,
+              0.1702127659574468, 0.13475177304964539, 0.099290780141843976},
+             5205});
+}
+
+TEST(MultiVideoIdleJump, SparseDiurnalCatalogMatchesSteppedGolden) {
+  MultiVideoConfig c = sparse_catalog();
+  c.diurnal_peak_requests_per_hour = 30.0;
+  expect_golden(
+      c, Golden{3.6720484359233114,
+                12.0,
+                {0.9455095862764884, 0.72452068617558019, 0.58930373360242183,
+                 0.61049445005045411, 0.38647830474268413,
+                 0.41574167507568111},
+                {84, 63, 46, 44, 27, 29},
+                {1.3475177304964538, 1.0141843971631206, 0.84397163120567376,
+                 0.83687943262411346, 0.53900709219858156,
+                 0.56737588652482274},
+                3222});
+}
+
+TEST(MultiVideoIdleJump, ZeroRateCatalogIsOneIdleStretch) {
+  // Every next arrival is +inf: each video is a single jump from step 1
+  // past the last slot, all 1041 of its slots idle, every window empty.
+  MultiVideoConfig c = sparse_catalog();
+  c.total_requests_per_hour = 0.0;
+  expect_golden(c, Golden{0.0,
+                          0.0,
+                          std::vector<double>(6, 0.0),
+                          std::vector<uint64_t>(6, 0),
+                          std::vector<double>(6, 0.0),
+                          6 * 1041});
 }
 
 }  // namespace
