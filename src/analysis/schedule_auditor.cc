@@ -94,7 +94,11 @@ AuditReport ScheduleAuditor::audit_schedule(const SlotSchedule& s) const {
   const Slot horizon = now + s.window();
 
   // Per-segment index: containment, ordering, and the sharing invariant.
-  std::vector<int> counted(static_cast<size_t>(s.window()) + 1, 0);
+  // The load check runs without a per-slot tally buffer, so the VOD_AUDIT
+  // per-slot hook never reaches the heap on a healthy schedule: each
+  // in-window index entry is matched against its slot's ring row, each
+  // ring entry against the index, and each load counter against its ring
+  // row's length — together, load(s) == index entries in s, slot by slot.
   int indexed_total = 0;
   for (Segment j = 1; j <= s.num_segments(); ++j) {
     const std::span<const Slot> slots = s.instances_of(j);
@@ -132,44 +136,45 @@ AuditReport ScheduleAuditor::audit_schedule(const SlotSchedule& s) const {
                       slot, msg.str());
         continue;  // out-of-window slots cannot be attributed to the ring
       }
-      ++counted[static_cast<size_t>(slot - now - 1)];
       ++indexed_total;
+      const std::span<const Segment> ring = s.contents(slot);
+      if (std::count(ring.begin(), ring.end(), j) !=
+          std::count(slots.begin(), slots.end(), slot)) {
+        std::ostringstream msg;
+        msg << "per-segment index holds an instance at slot " << slot
+            << " that the content ring does not";
+        add_violation(&report, AuditViolationKind::kContentsMismatch, j, slot,
+                      msg.str());
+      }
     }
   }
 
-  // Per-slot load counters and the content ring against the index.
+  // Per-slot load counters against the content ring, and the ring against
+  // the index.
   int load_total = 0;
   for (Slot slot = now + 1; slot <= horizon; ++slot) {
     const int load = s.load(slot);
     load_total += load;
-    const int indexed = counted[static_cast<size_t>(slot - now - 1)];
-    if (load != indexed) {
+    const std::span<const Segment> ring = s.contents(slot);
+    if (load != static_cast<int>(ring.size())) {
       std::ostringstream msg;
-      msg << "load counter says " << load << ", per-segment index says "
-          << indexed;
+      msg << "load counter says " << load << ", content ring holds "
+          << ring.size();
       add_violation(&report, AuditViolationKind::kLoadMismatch, 0, slot,
                     msg.str());
     }
-    const std::span<const Segment> ring = s.contents(slot);
-    bool ring_matches = static_cast<int>(ring.size()) == indexed;
-    if (ring_matches) {
-      for (Segment j : ring) {
-        const std::span<const Slot> slots = s.instances_of(j);
-        const auto begin = std::lower_bound(slots.begin(), slots.end(), slot);
-        const auto end = std::upper_bound(begin, slots.end(), slot);
-        const auto ring_count = std::count(ring.begin(), ring.end(), j);
-        if (end - begin != ring_count) {
-          ring_matches = false;
-          break;
-        }
+    for (Segment j : ring) {
+      const std::span<const Slot> slots = s.instances_of(j);
+      const auto begin = std::lower_bound(slots.begin(), slots.end(), slot);
+      const auto end = std::upper_bound(begin, slots.end(), slot);
+      if (end - begin != std::count(ring.begin(), ring.end(), j)) {
+        std::ostringstream msg;
+        msg << "content ring holds " << ring.size()
+            << " instances that do not match the per-segment index";
+        add_violation(&report, AuditViolationKind::kContentsMismatch, j, slot,
+                      msg.str());
+        break;
       }
-    }
-    if (!ring_matches) {
-      std::ostringstream msg;
-      msg << "content ring holds " << ring.size()
-          << " instances that do not match the per-segment index";
-      add_violation(&report, AuditViolationKind::kContentsMismatch, 0, slot,
-                    msg.str());
     }
   }
 

@@ -84,6 +84,7 @@ std::vector<int> resolve_periods(const DhbConfig& config) {
 
 DhbScheduler::DhbScheduler(const DhbConfig& config)
     : config_(config),
+      constructed_heuristic_(config.heuristic),
       periods_(resolve_periods(config)),
       window_(*std::max_element(periods_.begin(), periods_.end())),
       use_index_(config.use_placement_index &&
@@ -96,17 +97,7 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
                                      return acc + static_cast<uint64_t>(t);
                                    })),
       schedule_(config.num_segments, window_),
-      rng_(config.heuristic_seed),
-      c_requests_(metrics_.counter("dhb_requests_total")),
-      c_new_(metrics_.counter("dhb_new_instances_total")),
-      c_shared_(metrics_.counter("dhb_shared_instances_total")),
-      c_probes_(metrics_.counter("dhb_slot_probes_total")),
-      c_rejected_(metrics_.counter("dhb_rejected_admissions_total")),
-      c_work_(metrics_.counter("dhb_work_units_total")),
-      c_coalesced_(metrics_.counter("dhb_coalesced_requests_total")),
-      c_adm_placed_(metrics_.counter("dhb_admissions_placed_total")),
-      c_adm_all_shared_(metrics_.counter("dhb_admissions_all_shared_total")),
-      c_cap_violations_(metrics_.counter("dhb_cap_violation_slots_total")) {
+      rng_(config.heuristic_seed) {
   VOD_CHECK(config.client_stream_cap >= 0);
   // Pre-size the reusable plan storage: steady-state admissions then run
   // allocation-free (tests/alloc_audit_test.cc pins this down).
@@ -115,31 +106,40 @@ DhbScheduler::DhbScheduler(const DhbConfig& config)
   memo_result_.plan.reception_slot.reserve(n);
 }
 
-const obs::MetricShard& DhbScheduler::metrics() const {
-  // The schedule_* counters mirror monotone op meters kept by the
-  // SlotSchedule / LoadIndex fast path; sample them up to the current value
-  // on access (counters only support inc, and the meters never decrease).
-  const auto sample = [this](const char* name, uint64_t now_value) {
-    obs::Counter* c = metrics_.counter(name);
-    c->inc(now_value - c->value());
-  };
-  sample("schedule_instances_added_total", schedule_.total_instances_added());
-  sample("schedule_advances_total", schedule_.total_advances());
-  sample("schedule_overlay_ops_total", schedule_.total_overlay_ops());
-  sample("schedule_index_queries_total", schedule_.total_index_queries());
-  sample("schedule_index_updates_total", schedule_.total_index_updates());
-  // Memory-behavior meters (DESIGN.md §14): slab re-layouts and arena
-  // block/byte consumption across the schedule slabs and the admission
-  // scratch. The steady-state allocation audit asserts these flat.
-  sample("schedule_slab_grows_total", schedule_.total_slab_grows());
-  sample("schedule_arena_blocks_total", schedule_.total_arena_blocks());
-  sample("schedule_arena_bytes_total", schedule_.total_arena_bytes());
-  sample("dhb_scratch_blocks_total", scratch_.total_block_allocations());
-  return metrics_;
+obs::MetricShard DhbScheduler::metrics() const {
+  obs::MetricShard out;
+  export_metrics(&out);
+  return out;
 }
 
 void DhbScheduler::export_metrics(obs::MetricShard* out) const {
-  out->merge_from(metrics());
+  // The one name table of the scheduler's counters: the DhbCounters
+  // fields, then the structural-op meters of the SlotSchedule / LoadIndex
+  // fast path and the memory-behavior meters (DESIGN.md §14) — slab
+  // re-layouts and arena block/byte consumption across the schedule slabs
+  // and the admission scratch, which the allocation audit asserts flat.
+  const std::pair<const char*, uint64_t> named[] = {
+      {"dhb_requests_total", counters_.requests},
+      {"dhb_new_instances_total", counters_.new_instances},
+      {"dhb_shared_instances_total", counters_.shared},
+      {"dhb_slot_probes_total", counters_.slot_probes},
+      {"dhb_rejected_admissions_total", counters_.rejected_admissions},
+      {"dhb_work_units_total", counters_.work_units},
+      {"dhb_coalesced_requests_total", counters_.coalesced_requests},
+      {"dhb_admissions_placed_total", counters_.admissions_placed},
+      {"dhb_admissions_all_shared_total", counters_.admissions_all_shared},
+      {"dhb_cap_violation_slots_total", counters_.cap_violation_slots},
+      {"schedule_instances_added_total", schedule_.total_instances_added()},
+      {"schedule_advances_total", schedule_.total_advances()},
+      {"schedule_overlay_ops_total", schedule_.total_overlay_ops()},
+      {"schedule_index_queries_total", schedule_.total_index_queries()},
+      {"schedule_index_updates_total", schedule_.total_index_updates()},
+      {"schedule_slab_grows_total", schedule_.total_slab_grows()},
+      {"schedule_arena_blocks_total", schedule_.total_arena_blocks()},
+      {"schedule_arena_bytes_total", schedule_.total_arena_bytes()},
+      {"dhb_scratch_blocks_total", scratch_.total_block_allocations()},
+  };
+  for (const auto& [name, value] : named) out->counter(name)->inc(value);
 }
 
 std::optional<Slot> DhbScheduler::choose_capped_slot(Slot lo, Slot hi,
@@ -194,12 +194,12 @@ const DhbRequestResult& DhbScheduler::on_request_batch(uint64_t count) {
   // each shares all of them — the plan is the leader's, no heuristic runs,
   // no rng is consumed, and the counters advance in bulk exactly as
   // sequential re-admissions' would.
-  c_requests_->inc(followers);
-  c_shared_->inc(followers * static_cast<uint64_t>(config_.num_segments));
-  c_probes_->inc(followers * sum_periods_);
-  c_work_->inc(followers * kWorkMemoCopy);
-  c_coalesced_->inc(followers);
-  c_adm_all_shared_->inc(followers);
+  counters_.requests += followers;
+  counters_.shared += followers * static_cast<uint64_t>(config_.num_segments);
+  counters_.slot_probes += followers * sum_periods_;
+  counters_.work_units += followers * kWorkMemoCopy;
+  counters_.coalesced_requests += followers;
+  counters_.admissions_all_shared += followers;
   VOD_TRACE_INSTANT("admission/coalesced", "dhb", schedule_.now(),
                     {"count", static_cast<int64_t>(followers)},
                     {"shared", config_.num_segments});
@@ -274,7 +274,7 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
                        static_cast<int>(j - first_segment + 1));
     const Slot hi = arrival + period;
     const uint64_t width = static_cast<uint64_t>(hi - lo + 1);
-    c_probes_->inc(width);
+    counters_.slot_probes += width;
 
     Slot chosen = 0;
     bool is_new = false;
@@ -282,19 +282,19 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
     if (cap == 0) {
       // find_instance answers in O(1) off the latest-instance cache here:
       // lo is now+1, so the window is the whole scheduling future.
-      c_work_->inc(kWorkShareProbe);
+      counters_.work_units += kWorkShareProbe;
       if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
         chosen = *shared;
       } else {
         chosen = choose_slot(config_.heuristic, schedule_, lo, hi, &rng_,
                              fast);
         is_new = true;
-        c_work_->inc((fast ? kWorkIndexQuery : width) + kWorkCommit);
+        counters_.work_units += (fast ? kWorkIndexQuery : width) + kWorkCommit;
       }
     } else {
       // Prefer sharing an instance in a slot with remaining client capacity
       // (latest such instance: least buffering, most future sharing).
-      c_work_->inc(kWorkShareProbe);
+      counters_.work_units += kWorkShareProbe;
       const std::span<const Slot> existing = schedule_.instances_of(j);
       for (auto it = existing.rbegin(); it != existing.rend(); ++it) {
         if (*it < lo || *it > hi) continue;
@@ -310,17 +310,17 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
         // >= the mask means every slot in the window is saturated.
         std::optional<Slot> fresh;
         if (fast) {
-          c_work_->inc(kWorkIndexQuery);
+          counters_.work_units += kWorkIndexQuery;
           const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
           if (m.load < kClientSaturatedMask) fresh = m.slot;
         } else {
-          c_work_->inc(width);
+          counters_.work_units += width;
           fresh = choose_capped_slot(lo, hi, client_load, arrival);
         }
         if (fresh) {
           chosen = *fresh;
           is_new = true;
-          c_work_->inc(kWorkCommit);
+          counters_.work_units += kWorkCommit;
         } else {
           // The cap cannot be honoured anywhere in the window. Fall back to
           // the uncapped rule and record the violation: the plan stays
@@ -328,7 +328,7 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
           // The fallback must see raw loads, so it always runs the naive
           // scans (the placement index carries the saturation overlay).
           ++result.cap_violations;
-          c_work_->inc(kWorkShareProbe);
+          counters_.work_units += kWorkShareProbe;
           if (std::optional<Slot> shared =
                   schedule_.find_instance(j, lo, hi)) {
             chosen = *shared;
@@ -336,7 +336,7 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
             chosen = choose_slot(SlotHeuristic::kMinLoadLatest, schedule_, lo,
                                  hi, &rng_, /*use_index=*/false);
             is_new = true;
-            c_work_->inc(width + kWorkCommit);
+            counters_.work_units += width + kWorkCommit;
           }
         }
       }
@@ -365,10 +365,12 @@ void DhbScheduler::admit(Segment first_segment, Segment last_segment,
   if (cap > 0 && fast) schedule_.clear_load_overlay();
   scratch_.rewind(scratch_mark);
 
-  c_requests_->inc();
-  c_new_->inc(static_cast<uint64_t>(result.new_instances));
-  c_shared_->inc(static_cast<uint64_t>(result.shared_instances));
-  (result.new_instances > 0 ? c_adm_placed_ : c_adm_all_shared_)->inc();
+  ++counters_.requests;
+  counters_.new_instances += static_cast<uint64_t>(result.new_instances);
+  counters_.shared += static_cast<uint64_t>(result.shared_instances);
+  ++(result.new_instances > 0 ? counters_.admissions_placed
+                              : counters_.admissions_all_shared);
+  counters_.cap_violation_slots += static_cast<uint64_t>(result.cap_violations);
   record_admission_qoe(qoe_count, result, last_segment - first_segment + 1);
   VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
                                              : "admission/shared",
@@ -418,10 +420,10 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     const Slot lo = arrival + 1;
     const Slot hi = arrival + periods_[static_cast<size_t>(j - 1)];
     const uint64_t width = static_cast<uint64_t>(hi - lo + 1);
-    c_probes_->inc(width);
+    counters_.slot_probes += width;
 
     Slot chosen = 0;
-    c_work_->inc(kWorkShareProbe);
+    counters_.work_units += kWorkShareProbe;
     if (std::optional<Slot> shared = schedule_.find_instance(j, lo, hi)) {
       chosen = *shared;
       ++result.shared_instances;
@@ -429,11 +431,11 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
       // Min-load-latest over slots still under the channel cap, counting
       // this request's own tentative placements.
       if (fast) {
-        c_work_->inc(kWorkIndexQuery);
+        counters_.work_units += kWorkIndexQuery;
         const SlotSchedule::MinLoad m = schedule_.min_load_latest(lo, hi);
         if (m.load < channel_cap) chosen = m.slot;
       } else {
-        c_work_->inc(width);
+        counters_.work_units += width;
         int best_load = channel_cap;
         for (Slot s = hi; s >= lo; --s) {
           const int load =
@@ -451,7 +453,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
         // per-admission cost metric.
         if (fast) schedule_.clear_load_overlay();
         scratch_.rewind(scratch_mark);
-        c_rejected_->inc();
+        ++counters_.rejected_admissions;
         VOD_TRACE_INSTANT("admission/rejected", "dhb", arrival,
                           {"segment", j}, {"channel_cap", channel_cap});
         return std::nullopt;
@@ -463,7 +465,7 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
       }
       placements[placed++] = Placement{j, chosen};
       ++result.new_instances;
-      c_work_->inc(kWorkCommit);
+      counters_.work_units += kWorkCommit;
     }
     result.plan.reception_slot[static_cast<size_t>(j - 1)] = chosen;
   }
@@ -475,10 +477,11 @@ std::optional<DhbRequestResult> DhbScheduler::on_request_bounded(
     schedule_.add_instance(placements[p].segment, placements[p].slot);
   }
   scratch_.rewind(scratch_mark);
-  c_requests_->inc();
-  c_new_->inc(static_cast<uint64_t>(result.new_instances));
-  c_shared_->inc(static_cast<uint64_t>(result.shared_instances));
-  (result.new_instances > 0 ? c_adm_placed_ : c_adm_all_shared_)->inc();
+  ++counters_.requests;
+  counters_.new_instances += static_cast<uint64_t>(result.new_instances);
+  counters_.shared += static_cast<uint64_t>(result.shared_instances);
+  ++(result.new_instances > 0 ? counters_.admissions_placed
+                              : counters_.admissions_all_shared);
   record_admission_qoe(1, result, n);
   VOD_TRACE_INSTANT(result.new_instances > 0 ? "admission/placed"
                                              : "admission/shared",
@@ -501,6 +504,16 @@ void DhbScheduler::set_heuristic(SlotHeuristic heuristic) {
   memo_valid_ = false;
   VOD_TRACE_INSTANT("heuristic/switch", "dhb", schedule_.now(),
                     {"heuristic", static_cast<int>(heuristic)});
+}
+
+void DhbScheduler::reset() {
+  VOD_DCHECK_SERIAL(serial_);
+  schedule_.reset();
+  rng_ = Rng(config_.heuristic_seed);
+  config_.heuristic = constructed_heuristic_;
+  memo_valid_ = false;
+  had_clamped_admissions_ = false;
+  scratch_.reset();
 }
 
 std::span<const Segment> DhbScheduler::advance_slot_view() {

@@ -86,6 +86,24 @@ struct DhbConfig {
   uint64_t placement_index_cutover = 32768;
 };
 
+// A scheduler's lifetime counters (for the scheduling-cost analysis of
+// §3). Plain integers bumped on the admission paths; metrics() and
+// export_metrics() publish them under their dhb_*_total names.
+struct DhbCounters {
+  uint64_t requests = 0;               // admissions (batch followers count)
+  uint64_t new_instances = 0;          // fresh transmissions placed
+  uint64_t shared = 0;                 // segments shared with earlier requests
+  uint64_t slot_probes = 0;            // logical Figure 6 window probes
+  uint64_t rejected_admissions = 0;    // refused bounded admissions
+  uint64_t work_units = 0;             // actual data-structure operations
+  uint64_t coalesced_requests = 0;     // answered from the same-slot memo
+  uint64_t admissions_placed = 0;      // admissions placing >= 1 instance
+  uint64_t admissions_all_shared = 0;  // admissions sharing every segment
+  uint64_t cap_violation_slots = 0;    // client-cap violation slots
+
+  friend bool operator==(const DhbCounters&, const DhbCounters&) = default;
+};
+
 struct DhbRequestResult {
   ClientPlan plan;
   int new_instances = 0;     // segments that needed a fresh transmission
@@ -163,6 +181,17 @@ class DhbScheduler {
   // the admissions immediately after one. No-op when the rule is unchanged.
   void set_heuristic(SlotHeuristic heuristic);
 
+  // Returns the scheduler to the state of a freshly constructed one with
+  // the same config: clock at 0, empty schedule (placement index dormant),
+  // rng reseeded from heuristic_seed, the constructed heuristic restored
+  // (undoing set_heuristic), memo invalidated, had_clamped_admissions()
+  // cleared. Every later call behaves bit for bit as on a new scheduler.
+  // Keeps the grown slabs, arena blocks and plan buffers — the catalog
+  // engine recycles one scheduler across a shard's videos without touching
+  // the heap — and does NOT reset the lifetime counters or the schedule's
+  // op meters, which keep accumulating across resets.
+  void reset();
+
   Slot current_slot() const { return schedule_.now(); }
   const SlotSchedule& schedule() const VOD_LIFETIMEBOUND { return schedule_; }
   const std::vector<int>& periods() const VOD_LIFETIMEBOUND {
@@ -184,20 +213,21 @@ class DhbScheduler {
   // ≤1-instance sharing check for this scheduler's lifetime.
   bool had_clamped_admissions() const { return had_clamped_admissions_; }
 
-  // Lifetime counters (for the scheduling-cost analysis of §3). The
-  // counters live in an obs::MetricShard owned by this scheduler — the
-  // accessors below are thin views over registry handles, so the same
-  // numbers flow unchanged into the Prometheus / JSONL exporters via
-  // metrics() without a second accounting path.
+  // Lifetime counters (see DhbCounters). The accessors below read the same
+  // struct metrics() exports, so the Prometheus / JSONL exporters see the
+  // numbers without a second accounting path.
   // total_requests() counts admissions only; a bounded admission that was
   // refused shows up in total_rejected_admissions() instead, so the §3
   // probes-per-attempt metric is
   // total_slot_probes() / (total_requests() + total_rejected_admissions()).
-  uint64_t total_requests() const { return c_requests_->value(); }
-  uint64_t total_new_instances() const { return c_new_->value(); }
-  uint64_t total_shared() const { return c_shared_->value(); }
-  uint64_t total_slot_probes() const { return c_probes_->value(); }
-  uint64_t total_rejected_admissions() const { return c_rejected_->value(); }
+  const DhbCounters& counters() const VOD_LIFETIMEBOUND { return counters_; }
+  uint64_t total_requests() const { return counters_.requests; }
+  uint64_t total_new_instances() const { return counters_.new_instances; }
+  uint64_t total_shared() const { return counters_.shared; }
+  uint64_t total_slot_probes() const { return counters_.slot_probes; }
+  uint64_t total_rejected_admissions() const {
+    return counters_.rejected_admissions;
+  }
 
   // Actual data-structure operations performed, as opposed to the logical
   // slot probes above: 1 per sharing check, plus a placement-attempt charge
@@ -206,21 +236,22 @@ class DhbScheduler {
   // coalesced follower (the memo copy). ScheduleAuditor asserts the
   // conservation law
   //   work_units >= requests + 2 * new_instances + rejected.
-  uint64_t total_work_units() const { return c_work_->value(); }
+  uint64_t total_work_units() const { return counters_.work_units; }
 
   // Requests answered from the same-slot plan memo without touching the
   // schedule (always 0 when coalesce_same_slot is off).
-  uint64_t total_coalesced_requests() const { return c_coalesced_->value(); }
+  uint64_t total_coalesced_requests() const {
+    return counters_.coalesced_requests;
+  }
 
-  // The scheduler's metric shard: the counters above under their exported
-  // names (dhb_requests_total, dhb_work_units_total, ...) plus admission-
-  // outcome tallies and, refreshed on access, schedule_* structural-op
-  // counters sampled from the SlotSchedule/LoadIndex fast path.
-  const obs::MetricShard& metrics() const VOD_LIFETIMEBOUND;
+  // A metric shard built on demand: the counters above under their
+  // exported names (dhb_requests_total, dhb_work_units_total, ...) plus
+  // schedule_* structural-op counters read from the SlotSchedule/LoadIndex
+  // op meters and the admission scratch arena.
+  obs::MetricShard metrics() const;
 
-  // Folds this scheduler's shard into `out` (counters add) — how the
-  // multi-video engine aggregates per-video schedulers into its per-shard
-  // registry shards.
+  // Adds the same counters into `out` — how the multi-video engine folds
+  // a retired scheduler into its per-shard registry shard.
   void export_metrics(obs::MetricShard* out) const;
 
  private:
@@ -243,13 +274,14 @@ class DhbScheduler {
              DhbRequestResult* out, uint64_t qoe_count = 1);
 
   // Single-writer discipline (DESIGN.md §11): a scheduler — its schedule,
-  // rng, memo, and the lifetime counters in metrics_ — is mutated by one
-  // thread at a time. The sharded engine honors this by giving every video
-  // its own scheduler on one worker; Debug builds enforce it on each
+  // rng, memo, and lifetime counters — is mutated by one thread at a time.
+  // The sharded engine honors this by giving every shard kernel its own
+  // recycled scheduler on one worker; Debug builds enforce it on each
   // mutating entry point via VOD_DCHECK_SERIAL.
   ThreadChecker serial_;
 
   DhbConfig config_;
+  SlotHeuristic constructed_heuristic_;  // what reset() restores
   std::vector<int> periods_;  // resolved T[], index j-1
   int window_;                // max_j T[j]
   bool use_index_;            // placement_index_active(): cutover resolved
@@ -257,21 +289,7 @@ class DhbScheduler {
   SlotSchedule schedule_;
   Rng rng_;
 
-  // Counter storage + cached stable handles (see metrics()). The handles
-  // keep the hot-path cost at one pointer indirection per bump; the names
-  // are resolved once in the constructor.
-  mutable obs::MetricShard metrics_;  // mutable: metrics() refreshes the
-                                      // schedule_* samples on access
-  obs::Counter* c_requests_;
-  obs::Counter* c_new_;
-  obs::Counter* c_shared_;
-  obs::Counter* c_probes_;
-  obs::Counter* c_rejected_;
-  obs::Counter* c_work_;
-  obs::Counter* c_coalesced_;
-  obs::Counter* c_adm_placed_;      // admissions that placed >= 1 instance
-  obs::Counter* c_adm_all_shared_;  // admissions sharing every segment
-  obs::Counter* c_cap_violations_;  // client-cap violation slots
+  DhbCounters counters_;
   bool had_clamped_admissions_ = false;
 
   // Same-slot coalescing memo: once a full request has been admitted in the

@@ -12,13 +12,12 @@
 //
 // Metric handles (Counter*, Gauge*, HistogramMetric*) returned by the
 // find-or-create accessors are stable for the shard's lifetime (std::map
-// nodes never move), so hot paths pay one pointer indirection per update —
-// this is what lets DhbScheduler keep its lifetime counters *in* a shard
-// while the public total_*() accessors stay thin views over it.
+// nodes never move), so hot paths pay one pointer indirection per update.
 //
-// This header is always compiled: the registry is the accounting layer the
-// scheduler's counters live in. Only the VOD_TRACE_* event macros
-// (obs/trace.h) compile away under VOD_OBSERVE=OFF.
+// This header is always compiled: schedulers and engines export their
+// counters into it (DhbScheduler::metrics() builds a shard on demand).
+// Only the VOD_TRACE_* event macros (obs/trace.h) compile away under
+// VOD_OBSERVE=OFF.
 #pragma once
 
 #include <cstdint>

@@ -63,6 +63,22 @@ SlotSchedule::SlotSchedule(int num_segments, int window)
   std::fill_n(latest_, segs, Slot{0});
 }
 
+void SlotSchedule::reset() {
+  // An empty window has every row, load and latest entry at zero already:
+  // loads sum to total_, and advance() zeroes what it vacates.
+  if (total_ != 0) {
+    const size_t segs = static_cast<size_t>(num_segments_) + 1;
+    std::fill_n(loads_, ring_size_, 0);
+    std::fill_n(contents_len_, ring_size_, 0);
+    std::fill_n(seg_len_, segs, 0);
+    std::fill_n(latest_, segs, Slot{0});
+    total_ = 0;
+  }
+  now_ = 0;
+  overlay_.clear();
+  index_live_ = false;  // refilled from loads_ on the next indexed use
+}
+
 void SlotSchedule::grow_contents() {
   const size_t new_cap = contents_cap_ * 2;
   Segment* slab = arena_.alloc_array<Segment>(ring_size_ * new_cap);

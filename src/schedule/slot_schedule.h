@@ -120,6 +120,14 @@ class SlotSchedule {
   // Total instances currently scheduled in the window.
   int total_scheduled() const { return total_; }
 
+  // Returns the schedule to the state of a freshly constructed one: clock
+  // at 0, window empty, placement index dormant, no overlay. O(ring + n)
+  // when instances are pending, O(1) when the window is already empty.
+  // Keeps the slabs at their grown strides and the arena's blocks, so a
+  // recycled schedule allocates nothing; the lifetime op meters keep
+  // counting.
+  void reset();
+
   // --- Range-min placement queries (O(log window)) ---------------------
 
   struct MinLoad {

@@ -155,13 +155,25 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
                                 0.0);
   out->video_switches.assign(static_cast<size_t>(last_rank - first_rank), 0);
 
+  // One DhbScheduler serves every plain-DHB video of this shard:
+  // reset() between videos returns it to the exact state of a fresh one
+  // (clock, schedule, rng, heuristic, memo) while keeping its grown slabs
+  // and arena blocks, so a Zipf-tail video costs no construction and no
+  // heap traffic. A video with a different segment count retires it and
+  // builds a new one. Lifetime counters survive reset(), so a retired
+  // scheduler exports the sum over every video it served, once.
+  std::optional<DhbScheduler> recycled;
+  const auto retire = [&recycled, metrics] {
+    if (recycled && metrics != nullptr) recycled->export_metrics(metrics);
+  };
+
   const Rng base(config.seed);
   for (int v = first_rank; v < last_rank; ++v) {
     const size_t idx = static_cast<size_t>(v);
     const size_t local = static_cast<size_t>(v - first_rank);
     const double rate = plan.rate_kbs[idx];
 
-    std::unique_ptr<DhbScheduler> scheduler;
+    DhbScheduler* scheduler = nullptr;
     std::unique_ptr<AdaptiveVideo> adaptive;
     int fixed_streams = 0;
     if (plan.is_adaptive[idx]) {
@@ -173,12 +185,16 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
           acfg, &plan.mappings.at(plan.segments[idx]));
     } else if (plan.is_static[idx]) {
       fixed_streams = NpbMapping::streams_for(plan.segments[idx]);
+    } else if (recycled && recycled->num_segments() == plan.segments[idx]) {
+      recycled->reset();
+      scheduler = &*recycled;
     } else {
+      retire();
       DhbConfig dhb;
       dhb.num_segments = plan.segments[idx];
       dhb.use_placement_index = config.fast_admission;
       dhb.coalesce_same_slot = config.fast_admission;
-      scheduler = std::make_unique<DhbScheduler>(dhb);
+      scheduler = &recycled.emplace(dhb);
     }
 
     // QoE identity for this video's admissions. An adaptive video stamps
@@ -192,23 +208,26 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       qoe->set_context(static_cast<uint32_t>(v), scheduler ? 1 : 2);
     }
 
-    // Flat Poisson by default; the §1 diurnal curve (thinned
-    // non-homogeneous Poisson) when a peak rate is configured. Either way
-    // one substream per video, so the shard decomposition stays
-    // deterministic.
+    // Flat Poisson by default, held by value (no heap object, no virtual
+    // draw); the §1 diurnal curve (thinned non-homogeneous Poisson) when a
+    // peak rate is configured. Either way one substream per video, so the
+    // shard decomposition stays deterministic.
     const double base_rate_per_s = plan.rate_per_s * zipf.probability(v);
-    std::unique_ptr<ArrivalProcess> arrivals;
+    std::optional<PoissonProcess> flat;
+    std::unique_ptr<NonHomogeneousPoissonProcess> diurnal;
     if (plan.peak_per_hour > 0.0) {
       const double off_peak_h = base_rate_per_s * 3600.0;
       const double peak_h = plan.peak_per_hour * zipf.probability(v);
-      arrivals = std::make_unique<NonHomogeneousPoissonProcess>(
+      diurnal = std::make_unique<NonHomogeneousPoissonProcess>(
           daily_demand_curve(off_peak_h, peak_h), per_hour(peak_h),
           base.fork(static_cast<uint64_t>(v) + 1));
     } else {
-      arrivals = std::make_unique<PoissonProcess>(
-          base_rate_per_s, base.fork(static_cast<uint64_t>(v) + 1));
+      flat.emplace(base_rate_per_s, base.fork(static_cast<uint64_t>(v) + 1));
     }
-    double next_arrival = arrivals->next();
+    const auto next_arrival_time = [&flat, &diurnal] {
+      return flat ? flat->next() : diurnal->next();
+    };
+    double next_arrival = next_arrival_time();
     uint64_t idle_slots = 0;
     WindowPeaks provisioned{config.provision_window_slots};
 
@@ -261,7 +280,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       uint64_t batch = 0;
       while (next_arrival < slot_end) {
         ++batch;
-        next_arrival = arrivals->next();
+        next_arrival = next_arrival_time();
       }
       // An adaptive video consumes every slot's batch — zero included; the
       // EWMA needs the silence as much as the bursts.
@@ -305,9 +324,8 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
       metrics->counter("engine_idle_slots_total")->inc(idle_slots);
       metrics->counter("engine_requests_total")
           ->inc(out->video_requests[local]);
-      // Fold the per-video scheduler's dhb_* counters into this shard so
-      // the catalog-wide totals survive the scheduler's destruction.
-      if (scheduler) scheduler->export_metrics(metrics);
+      // A recycled DHB scheduler exports when it retires (below, or on a
+      // segment-count change above); an adaptive video owns its own.
       if (adaptive) adaptive->export_metrics(metrics);
     }
     VOD_TRACE_INSTANT("video/done", "engine",
@@ -316,6 +334,7 @@ void simulate_shard(const CatalogPlan& plan, const ZipfDistribution& zipf,
                        static_cast<int64_t>(out->video_requests[local])},
                       {"idle_slots", static_cast<int64_t>(idle_slots)});
   }
+  retire();
 }
 
 }  // namespace

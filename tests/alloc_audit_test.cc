@@ -19,6 +19,7 @@
 #include "core/dhb.h"
 #include "protocols/npb.h"
 #include "server/adaptive_video.h"
+#include "server/multi_video.h"
 
 namespace {
 
@@ -136,6 +137,31 @@ TEST(AllocAudit, WarmupItselfIsBounded) {
   EXPECT_LE(dhb.schedule().total_arena_blocks(), 4u);
   EXPECT_LE(dhb.schedule().total_slab_grows(), 16u);
   EXPECT_GT(dhb.schedule().total_instances_added(), 0u);
+}
+
+TEST(AllocAudit, EngineAllocationsScaleWithShardsNotVideos) {
+  // The catalog engine recycles one scheduler per shard kernel and keeps
+  // the flat Poisson process by value, so a call's heap traffic is set by
+  // its shards (64 videos each) and result vectors, not by its videos —
+  // an idle Zipf-tail video costs no allocation at all.
+  const auto allocations = [](int videos) {
+    MultiVideoConfig config;  // kDhb, n = 99, flat Poisson, Zipf 0.729
+    config.catalog_size = videos;
+    config.total_requests_per_hour = 2000.0;
+    config.warmup_hours = 1.0;
+    config.measured_hours = 4.0;
+    config.num_threads = 1;
+    const uint64_t before = g_heap_allocations.load();
+    const MultiVideoResult result = run_multi_video_simulation(config);
+    const uint64_t used = g_heap_allocations.load() - before;
+    EXPECT_GT(result.requests, 0u);
+    return used;
+  };
+  const uint64_t small = allocations(640);
+  const uint64_t large = allocations(6400);
+  EXPECT_LE(small, 640u) << "more than one heap allocation per video";
+  EXPECT_LE(large, 6400u) << "more than one heap allocation per video";
+  EXPECT_LE(large, 10 * small) << "allocations grow faster than shards";
 }
 
 }  // namespace

@@ -109,9 +109,9 @@ TEST(MetricsRegistry, PrepareGrowsAndKeepsHandles) {
   EXPECT_EQ(registry.num_shards(), 4u);
 }
 
-// The scheduler's lifetime counters live in its own MetricShard; the
-// total_*() accessors are views over it and metrics() samples the
-// schedule-layer structural meters on access.
+// The scheduler's lifetime counters are a plain struct; metrics() builds a
+// shard on demand with them under their exported names, next to the
+// schedule-layer structural meters, and the total_*() accessors agree.
 TEST(DhbSchedulerMetrics, AccessorsAreRegistryViews) {
   DhbConfig config;
   config.num_segments = 20;

@@ -144,7 +144,7 @@ void ObsWriteOnlyCheck::classifyConsumption(const CallExpr *Origin,
         isa<LabelStmt>(PS) || isa<DeclStmt>(PS)) {
       return;
     }
-    // Re-export accessor idiom (dhb.h's total_* counters); see header.
+    // Re-export accessor idiom; see header.
     if (isa<ReturnStmt>(PS)) return;
 
     if (const auto *If = dyn_cast<IfStmt>(PS)) {

@@ -25,9 +25,9 @@
 //   directly returned (the re-export
 //   accessor idiom: total_requests())
 //
-// The returned-value allowance is deliberate: DhbScheduler's counter
-// accessors re-export obs-held counters to callers *outside* the scoped
-// layers (benches, reports). The dynamic checksum proof remains the
+// The returned-value allowance is deliberate: an accessor may re-export an
+// obs-held counter to callers *outside* the scoped layers (benches,
+// reports). The dynamic checksum proof remains the
 // backstop for values laundered through such an accessor and back in.
 //
 // Options:
